@@ -1,6 +1,6 @@
 //! Sharded-engine scaling: wall-clock of the full labeling job at 1, 2, 4,
 //! and 8 shards on a generated 5k-record Product dataset (the Abt-Buy
-//! stand-in), plus the engine-vs-core-labeler framework comparison.
+//! stand-in), on the oracle path and the platform event loop.
 //!
 //! Candidate generation runs once outside the timing loops; the benchmark
 //! measures the execution engine itself (partitioning, scheduling, labeling,
@@ -11,9 +11,8 @@ use crowdjoin::engine::SharedGroundTruth;
 use crowdjoin::matcher::MatcherConfig;
 use crowdjoin::sim::PlatformConfig;
 use crowdjoin::{
-    build_task, run_parallel_rounds, run_sharded_on_platform, run_sharded_on_platform_threaded,
-    sort_pairs, CandidateSet, EngineConfig, GroundTruth, GroundTruthOracle, OrderingMode,
-    ScoredPair, SortStrategy,
+    build_task, run_sharded_on_platform, sort_pairs, CandidateSet, EngineConfig, GroundTruth,
+    OrderingMode, ScoredPair, SortStrategy,
 };
 use crowdjoin_bench::measure;
 use std::hint::black_box;
@@ -57,11 +56,9 @@ fn bench_shard_scaling(c: &mut Criterion) {
     }
     group.finish();
 
-    // Platform-driven drivers head to head: the non-blocking event loop
-    // (poll-based ShardTask state machines, earliest-event scheduling) vs
-    // the blocking thread-per-shard pool, on identical per-shard platform
-    // simulations — plus the event loop with dynamic re-sharding merging
-    // shards between rounds.
+    // The platform-driven event loop (poll-based ShardTask state machines,
+    // earliest-event scheduling), without and with dynamic re-sharding
+    // merging shards between rounds.
     let mut group = c.benchmark_group("engine/product_5k_platform_drivers");
     group.sample_size(10);
     let platform = PlatformConfig::perfect_workers(7);
@@ -83,73 +80,7 @@ fn bench_shard_scaling(c: &mut Criterion) {
             black_box(report.total_cost_cents)
         });
     });
-    group.bench_function("thread_per_shard", |b| {
-        let cfg = platform_cfg(false);
-        b.iter(|| {
-            let report = run_sharded_on_platform_threaded(
-                candidates.num_objects(),
-                &order,
-                &truth,
-                &platform,
-                &cfg,
-            );
-            black_box(report.total_cost_cents)
-        });
-    });
     group.finish();
-
-    // Reference arm: the single-threaded core labeler (rescan-based
-    // deduction sweeps) on the same workload.
-    let mut group = c.benchmark_group("engine/product_5k_core_labeler");
-    group.sample_size(10);
-    group.bench_function("run_parallel_rounds", |b| {
-        b.iter(|| {
-            let mut oracle = GroundTruthOracle::new(&truth);
-            let (result, _) =
-                run_parallel_rounds(candidates.num_objects(), order.clone(), &mut oracle);
-            black_box(result.num_crowdsourced())
-        });
-    });
-    group.finish();
-
-    // Headline summary: median-of-5 wall-clock for the single-threaded core
-    // labeler vs the engine at 1 and 8 shards, with explicit speedups (the
-    // numbers recorded in CHANGES.md).
-    let median = |f: &mut dyn FnMut() -> usize| {
-        let mut times: Vec<f64> = (0..5)
-            .map(|_| {
-                let t = std::time::Instant::now();
-                black_box(f());
-                t.elapsed().as_secs_f64()
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    };
-    let t_core = median(&mut || {
-        let mut oracle = GroundTruthOracle::new(&truth);
-        run_parallel_rounds(candidates.num_objects(), order.clone(), &mut oracle)
-            .0
-            .num_crowdsourced()
-    });
-    let engine_time = |shards: usize| {
-        let cfg = EngineConfig { num_shards: shards, ..EngineConfig::default() };
-        median(&mut || {
-            let oracle = SharedGroundTruth::new(&truth);
-            crowdjoin::run_sharded_with_oracle(candidates.num_objects(), &order, &oracle, &cfg)
-                .result
-                .num_crowdsourced()
-        })
-    };
-    let t1 = engine_time(1);
-    let t8 = engine_time(8);
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!("\nengine summary ({cores} core(s) available):");
-    println!("  core labeler (single-threaded rescan): {:>9.2} ms", t_core * 1e3);
-    println!("  engine, 1 shard:                        {:>9.2} ms", t1 * 1e3);
-    println!("  engine, 8 shards:                       {:>9.2} ms", t8 * 1e3);
-    println!("  speedup engine@8 vs core labeler:       {:>9.2}x", t_core / t8);
-    println!("  speedup engine@8 vs engine@1:           {:>9.2}x", t1 / t8);
 }
 
 /// One measured arm of the machine-readable benchmark output.
@@ -174,20 +105,6 @@ fn emit_machine_readable() {
     use crowdjoin_bench::json::{js_f64, js_opt_f64, js_str, BenchJson};
     let (candidates, truth, order) = product_5k();
     let mut arms: Vec<BenchArm> = Vec::new();
-
-    let (wall_ms, result) = measure(5, || {
-        let mut oracle = GroundTruthOracle::new(&truth);
-        run_parallel_rounds(candidates.num_objects(), order.clone(), &mut oracle).0
-    });
-    arms.push(BenchArm {
-        name: "core_labeler",
-        shards: 1,
-        order: "likelihood",
-        wall_ms,
-        crowdsourced: result.num_crowdsourced(),
-        deduced: result.num_deduced(),
-        waste: None,
-    });
 
     for shards in [1usize, 8] {
         let cfg = EngineConfig { num_shards: shards, ..EngineConfig::default() };

@@ -20,12 +20,12 @@ fn main() {
         let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
 
         // Parallel(ID).
-        let mut p1 = Platform::new(PlatformConfig::perfect_workers(seed));
+        let p1 = Platform::new(PlatformConfig::perfect_workers(seed));
         let par = run_parallel_on_platform(
             task.candidates().num_objects(),
             order.clone(),
             &wl.truth,
-            &mut p1,
+            p1,
             true,
         );
 

@@ -27,14 +27,9 @@ fn main() {
             run_non_transitive_on_platform(task.candidates().pairs(), &wl.truth, &mut p1);
         let q_nt = QualityMetrics::of_result(&non_transitive.result, &wl.truth);
 
-        let mut p2 = Platform::new(PlatformConfig::amt_like(seed));
-        let transitive = run_parallel_on_platform(
-            task.candidates().num_objects(),
-            order,
-            &wl.truth,
-            &mut p2,
-            true,
-        );
+        let p2 = Platform::new(PlatformConfig::amt_like(seed));
+        let transitive =
+            run_parallel_on_platform(task.candidates().num_objects(), order, &wl.truth, p2, true);
         let q_tr = QualityMetrics::of_result(&transitive.result, &wl.truth);
 
         let rows = vec![

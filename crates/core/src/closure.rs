@@ -1,8 +1,8 @@
 //! Incremental transitive closure over a set of *tracked* pairs.
 //!
-//! The core labelers sweep every still-pending pair after each crowd answer
-//! (`ParallelLabeler::sweep_deductions` is O(pending) per answer). At engine
-//! scale that rescan dominates, so this module maintains the closure
+//! Sweeping every still-pending pair for deductions after each crowd answer
+//! costs O(pending) per answer. At scale that rescan dominates, so this
+//! module maintains the closure
 //! **eagerly and incrementally**, in the style of semi-naive datalog
 //! evaluation: only facts derived *by the newest label* propagate, nothing
 //! is recomputed from scratch.
@@ -25,7 +25,7 @@
 //! ClusterGraph's smaller-set merge rule — O(P log P) amortized for P
 //! tracked pairs, versus O(P · answers) for the rescan strategy.
 
-use crowdjoin_core::{Label, Pair};
+use crate::types::{Label, Pair};
 use crowdjoin_graph::{ClusterGraph, ConflictError, InsertOutcome, TrackedInsert};
 use crowdjoin_util::{FxHashMap, FxHashSet};
 

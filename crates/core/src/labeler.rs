@@ -1,37 +1,40 @@
-//! The engine's per-shard labeling state machine.
+//! The parallel labeler: Algorithms 2/3 with the instant-decision
+//! refinement (see [`crate::parallel`] for the algorithm and its fidelity
+//! note).
 //!
-//! Semantically equivalent to `crowdjoin_core::ParallelLabeler` (Algorithms
-//! 2/3 with the instant-decision refinement) but with the post-answer
-//! deduction sweep replaced by the [`IncrementalClosure`] delta: submitting
-//! an answer costs O(affected pairs), not O(pending pairs). Batch selection
-//! (Algorithm 3) is unchanged — it is inherently a scan because the
-//! *supposed-matching* graph must be rebuilt under each round's knowledge.
+//! Batch selection (Algorithm 3) is a scan, because the *supposed-matching*
+//! graph must be rebuilt under each round's knowledge. Deduction after an
+//! answer is not: the [`IncrementalClosure`] reports exactly the pairs the
+//! answer made deducible, so submitting an answer costs O(affected pairs),
+//! not O(pending pairs). The tests below pin the labeler against a
+//! reference that rescans every pending pair after each answer.
 //!
-//! The equivalence (same labels, same crowdsourced set for consistent
-//! answers) is pinned by the `engine_equivalence` integration tests.
-//!
-//! Besides the live path ([`ShardLabeler::next_batch`] /
-//! [`ShardLabeler::submit_answer`]), the labeler exposes the **replay
-//! primitive** [`ShardLabeler::seed_known`]: feed an already-paid-for
+//! Besides the live path ([`ParallelLabeler::next_batch`] /
+//! [`ParallelLabeler::submit_answer`]), the labeler exposes the **replay
+//! primitive** [`ParallelLabeler::seed_known`]: feed an already-paid-for
 //! crowd answer without publishing, propagating its deduction delta
 //! exactly as a live answer would. Replaying a shard's crowdsourced
 //! answers in labeling order re-derives its deduced labels too, which is
 //! what both dynamic re-sharding (rebuilding merged shards at a barrier)
-//! and journal recovery (rebuilding labeler state from
-//! `crowdjoin-wal` answer records) are built on.
+//! and journal recovery (rebuilding labeler state from answer records)
+//! are built on.
 
 use crate::closure::IncrementalClosure;
 use crate::ordering::OrderingMode;
-use crowdjoin_core::{Label, LabelingResult, Pair, Provenance, ScoredPair};
+use crate::result::LabelingResult;
+use crate::types::{Label, Pair, Provenance, ScoredPair};
 use crowdjoin_graph::ClusterGraph;
 use crowdjoin_util::FxHashMap;
 use std::collections::BinaryHeap;
 
-/// Per-pair lifecycle (mirrors the core labeler's states).
+/// Per-pair lifecycle inside the labeler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PairState {
+    /// Not yet published or labeled.
     Unlabeled,
+    /// Published to the crowd; an answer is outstanding.
     Published,
+    /// Labeled (crowdsourced or deduced).
     Labeled,
 }
 
@@ -96,9 +99,9 @@ impl FrontierRanker {
     }
 }
 
-/// Event-driven labeler over one shard's (local-id) labeling order.
+/// The parallel labeler state machine over one labeling order.
 #[derive(Debug, Clone)]
-pub struct ShardLabeler {
+pub struct ParallelLabeler {
     num_objects: usize,
     order: Vec<ScoredPair>,
     index_of: FxHashMap<Pair, usize>,
@@ -111,7 +114,7 @@ pub struct ShardLabeler {
     ranker: Option<FrontierRanker>,
 }
 
-impl ShardLabeler {
+impl ParallelLabeler {
     /// Creates a labeler for `order` over a universe of `num_objects`,
     /// publishing in likelihood-descending order (the paper's heuristic and
     /// the historical default — bit-identical to pre-policy builds).
@@ -512,10 +515,11 @@ impl ShardLabeler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdjoin_core::{
-        run_parallel_rounds, sort_pairs, CandidateSet, GroundTruth, GroundTruthOracle, Oracle,
-        ParallelLabeler, SortStrategy,
-    };
+    use crate::oracle::{GroundTruthOracle, NoisyOracle, Oracle};
+    use crate::parallel::run_parallel_rounds;
+    use crate::sort::{sort_pairs, SortStrategy};
+    use crate::truth::GroundTruth;
+    use crate::types::CandidateSet;
 
     fn running_example() -> (CandidateSet, GroundTruth) {
         let truth = GroundTruth::from_clusters(6, &[vec![0, 1, 2], vec![3, 4]]);
@@ -532,98 +536,220 @@ mod tests {
         (CandidateSet::new(6, pairs), truth)
     }
 
-    /// Round-based driver for tests.
-    fn run_rounds(
-        num_objects: usize,
-        order: Vec<ScoredPair>,
-        oracle: &mut dyn Oracle,
-    ) -> (LabelingResult, Vec<usize>) {
-        let mut labeler = ShardLabeler::new(num_objects, order);
-        let mut batch_sizes = Vec::new();
-        while !labeler.is_complete() {
-            let batch = labeler.next_batch();
-            assert!(!batch.is_empty(), "stuck: incomplete but nothing to publish");
-            batch_sizes.push(batch.len());
-            for sp in batch {
-                let answer = oracle.answer(sp.pair);
-                labeler.submit_answer(sp.pair, answer);
+    /// Random instance: entity `i % k` over `n` objects, about
+    /// `draws_per_object · n` distinct pairs with random likelihoods.
+    fn random_instance(
+        rng: &mut crowdjoin_util::SplitMix64,
+        draws_per_object: usize,
+    ) -> (GroundTruth, CandidateSet) {
+        let n = 4 + (rng.next_u64() % 12) as usize;
+        let k = 1 + (rng.next_u64() % 4) as u32;
+        let truth = GroundTruth::new((0..n as u32).map(|i| i % k).collect());
+        let mut pairs = Vec::new();
+        let mut seen = crowdjoin_util::FxHashSet::default();
+        for _ in 0..n * draws_per_object {
+            let a = (rng.next_u64() % n as u64) as u32;
+            let b = (rng.next_u64() % n as u64) as u32;
+            if a != b {
+                let p = Pair::new(a, b);
+                if seen.insert(p) {
+                    pairs.push(ScoredPair::new(p, rng.next_f64()));
+                }
             }
         }
-        (labeler.into_result(), batch_sizes)
+        (truth, CandidateSet::new(n, pairs))
     }
 
-    #[test]
-    fn example5_matches_core_labeler() {
-        let (cs, truth) = running_example();
-        let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
+    /// What [`drive`] needs from the labeler and from the test oracle.
+    trait Algorithm3 {
+        fn batch(&mut self) -> Vec<Pair>;
+        fn answer(&mut self, pair: Pair, label: Label);
+    }
 
-        let mut o1 = GroundTruthOracle::new(&truth);
-        let (core_result, core_stats) =
-            run_parallel_rounds(cs.num_objects(), order.clone(), &mut o1);
-
-        let mut o2 = GroundTruthOracle::new(&truth);
-        let (result, batches) = run_rounds(cs.num_objects(), order, &mut o2);
-
-        assert_eq!(batches, core_stats.batch_sizes);
-        assert_eq!(result.num_crowdsourced(), core_result.num_crowdsourced());
-        assert_eq!(result.num_deduced(), core_result.num_deduced());
-        for sp in cs.pairs() {
-            assert_eq!(result.label_of(sp.pair), core_result.label_of(sp.pair));
-            assert_eq!(result.provenance_of(sp.pair), core_result.provenance_of(sp.pair));
+    impl Algorithm3 for ParallelLabeler {
+        fn batch(&mut self) -> Vec<Pair> {
+            self.next_batch().iter().map(|sp| sp.pair).collect()
+        }
+        fn answer(&mut self, pair: Pair, label: Label) {
+            self.submit_answer(pair, label);
         }
     }
 
-    #[test]
-    fn first_batch_identical_to_core() {
-        let (cs, _) = running_example();
-        let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
-        let mut core = ParallelLabeler::new(cs.num_objects(), order.clone());
-        let mut ours = ShardLabeler::new(cs.num_objects(), order);
-        let a: Vec<Pair> = core.next_batch().iter().map(|sp| sp.pair).collect();
-        let b: Vec<Pair> = ours.next_batch().iter().map(|sp| sp.pair).collect();
-        assert_eq!(a, b);
+    /// Test oracle: Algorithms 2/3 by rescanning. Every batch is an
+    /// Algorithm 3 scan over a fresh `ClusterGraph`; after every answer,
+    /// every unpublished pair is checked for a deduction from scratch.
+    struct Rescan {
+        order: Vec<ScoredPair>,
+        state: Vec<PairState>,
+        crowd: ClusterGraph,
+        result: LabelingResult,
+        scan_conflicts: usize,
     }
 
-    #[test]
-    fn randomized_equivalence_with_core() {
-        let mut rng = crowdjoin_util::SplitMix64::new(77);
-        for _ in 0..100 {
-            let n = 4 + (rng.next_u64() % 12) as usize;
-            let k = 1 + (rng.next_u64() % 4) as u32;
-            let entities: Vec<u32> = (0..n as u32).map(|i| i % k).collect();
-            let truth = GroundTruth::new(entities);
-            let mut pairs = Vec::new();
-            let mut seen = crowdjoin_util::FxHashSet::default();
-            for _ in 0..n * 2 {
-                let a = (rng.next_u64() % n as u64) as u32;
-                let b = (rng.next_u64() % n as u64) as u32;
-                if a != b {
-                    let p = Pair::new(a, b);
-                    if seen.insert(p) {
-                        pairs.push(ScoredPair::new(p, rng.next_f64()));
+    impl Rescan {
+        fn new(num_objects: usize, order: Vec<ScoredPair>) -> Self {
+            Rescan {
+                state: vec![PairState::Unlabeled; order.len()],
+                order,
+                crowd: ClusterGraph::new(num_objects),
+                result: LabelingResult::new(),
+                scan_conflicts: 0,
+            }
+        }
+    }
+
+    impl Algorithm3 for Rescan {
+        fn batch(&mut self) -> Vec<Pair> {
+            let mut scan = ClusterGraph::new(self.crowd.num_objects());
+            let mut batch = Vec::new();
+            for (i, sp) in self.order.iter().enumerate() {
+                let (a, b) = (sp.pair.a(), sp.pair.b());
+                if self.state[i] == PairState::Labeled {
+                    let label = self.result.label_of(sp.pair).expect("labeled");
+                    self.scan_conflicts += usize::from(scan.insert(a, b, label).is_err());
+                } else if scan.deduce(a, b).is_none() {
+                    if self.state[i] == PairState::Unlabeled {
+                        self.state[i] = PairState::Published;
+                        batch.push(sp.pair);
+                    }
+                    scan.insert(a, b, Label::Matching).expect("undeducible pair inserts");
+                }
+            }
+            batch
+        }
+        fn answer(&mut self, pair: Pair, answer: Label) {
+            let i = self.order.iter().position(|sp| sp.pair == pair).expect("known pair");
+            let label = self.crowd.insert(pair.a(), pair.b(), answer).map_or_else(
+                |conflict| {
+                    self.result.record_conflict();
+                    conflict.deduced
+                },
+                |_| answer,
+            );
+            self.state[i] = PairState::Labeled;
+            self.result.record(pair, label, Provenance::Crowdsourced);
+            for (j, sp) in self.order.iter().enumerate() {
+                if self.state[j] == PairState::Unlabeled {
+                    if let Some(l) = self.crowd.deduce(sp.pair.a(), sp.pair.b()) {
+                        self.state[j] = PairState::Labeled;
+                        self.result.record(sp.pair, l, Provenance::Deduced);
                     }
                 }
             }
-            let cs = CandidateSet::new(n, pairs);
-            let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
+        }
+    }
 
-            let mut o1 = GroundTruthOracle::new(&truth);
-            let (core_result, core_stats) =
-                run_parallel_rounds(cs.num_objects(), order.clone(), &mut o1);
-            let mut o2 = GroundTruthOracle::new(&truth);
-            let (result, batches) = run_rounds(cs.num_objects(), order, &mut o2);
-
-            assert_eq!(batches, core_stats.batch_sizes);
-            assert_eq!(result.num_crowdsourced(), core_result.num_crowdsourced());
-            for sp in cs.pairs() {
-                assert_eq!(result.label_of(sp.pair), core_result.label_of(sp.pair));
+    /// Drives `labeler` to completion and returns its published batches.
+    /// Round-based (`interleave == false`) answers every batch in full;
+    /// otherwise only the oldest half of the outstanding pairs is answered
+    /// before the next scan, as instant decision does with HITs in flight.
+    fn drive(
+        labeler: &mut dyn Algorithm3,
+        oracle: &mut dyn Oracle,
+        interleave: bool,
+    ) -> Vec<Vec<Pair>> {
+        let (mut batches, mut outstanding) = (Vec::new(), std::collections::VecDeque::new());
+        loop {
+            let batch = labeler.batch();
+            outstanding.extend(batch.iter().copied());
+            batches.push(batch);
+            if outstanding.is_empty() {
+                return batches;
+            }
+            let k = if interleave { outstanding.len().div_ceil(2) } else { outstanding.len() };
+            for pair in outstanding.drain(..k) {
+                labeler.answer(pair, oracle.answer(pair));
             }
         }
+    }
+
+    /// Same batches, labels, provenance and conflict counts as the rescanning
+    /// reference, under `oracle_of` answers. Returns the batches and the
+    /// (answer, scan) conflict counts.
+    fn assert_matches_reference<'t>(
+        cs: &CandidateSet,
+        interleave: bool,
+        oracle_of: impl Fn() -> Box<dyn Oracle + 't>,
+    ) -> (Vec<Vec<Pair>>, usize, usize) {
+        let order = sort_pairs(cs, SortStrategy::ExpectedLikelihood);
+        let mut ours = ParallelLabeler::new(cs.num_objects(), order.clone());
+        let mut reference = Rescan::new(cs.num_objects(), order);
+        let batches = drive(&mut ours, &mut *oracle_of(), interleave);
+        assert_eq!(
+            batches,
+            drive(&mut reference, &mut *oracle_of(), interleave),
+            "batches diverged"
+        );
+        assert_eq!(ours.num_scan_conflicts(), reference.scan_conflicts, "scan conflicts diverged");
+        let (a, b) = (ours.result(), &reference.result);
+        assert_eq!(a.num_conflicts(), b.num_conflicts());
+        assert_eq!(a.num_labeled(), cs.len());
+        for sp in cs.pairs() {
+            assert_eq!(a.label_of(sp.pair), b.label_of(sp.pair));
+            assert_eq!(a.provenance_of(sp.pair), b.provenance_of(sp.pair));
+        }
+        (batches, a.num_conflicts(), reference.scan_conflicts)
+    }
+
+    /// Paper Example 5 on the core labeler, pinned against the rescanning
+    /// reference in both round-based and interleaved answering.
+    #[test]
+    fn example5_matches_core_labeler() {
+        let (cs, truth) = running_example();
+        let (batches, _, _) =
+            assert_matches_reference(&cs, false, || Box::new(GroundTruthOracle::new(&truth)));
+        // Paper Example 5: {p1, p2, p3, p5, p6}, then {p7}.
+        let p = Pair::new;
+        assert_eq!(
+            batches,
+            vec![vec![p(0, 1), p(1, 2), p(0, 5), p(3, 4), p(3, 5)], vec![p(1, 3)], vec![]]
+        );
+        assert_matches_reference(&cs, true, || Box::new(GroundTruthOracle::new(&truth)));
+    }
+
+    /// The first published batch is exactly one Algorithm 3 scan over the
+    /// sorted order, before any answer arrives.
+    #[test]
+    fn first_batch_identical_to_core() {
+        let (cs, _) = running_example();
+        let mut rng = crowdjoin_util::SplitMix64::new(3);
+        let instances = std::iter::once(cs).chain((0..50).map(|_| random_instance(&mut rng, 2).1));
+        for cs in instances {
+            let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
+            let mut ours = ParallelLabeler::new(cs.num_objects(), order.clone());
+            let mut reference = Rescan::new(cs.num_objects(), order);
+            assert_eq!(ours.batch(), reference.batch());
+        }
+    }
+
+    #[test]
+    fn randomized_equivalence_with_reference_scan() {
+        let mut rng = crowdjoin_util::SplitMix64::new(77);
+        for i in 0..100 {
+            let (truth, cs) = random_instance(&mut rng, 2);
+            assert_matches_reference(&cs, i % 2 == 1, || Box::new(GroundTruthOracle::new(&truth)));
+        }
+    }
+
+    /// Noisy answers exercise both conflict paths: an answer contradicting
+    /// the crowd closure, and a real label contradicting a scan supposition.
+    #[test]
+    fn noisy_equivalence_with_reference_scan() {
+        let mut rng = crowdjoin_util::SplitMix64::new(15);
+        let (mut conflicts, mut scan_conflicts) = (0, 0);
+        for seed in 0..200 {
+            let (truth, cs) = random_instance(&mut rng, 3);
+            let noisy = || -> Box<dyn Oracle> { Box::new(NoisyOracle::new(&truth, 0.25, seed)) };
+            let (_, c, s) = assert_matches_reference(&cs, seed % 2 == 1, noisy);
+            conflicts += c;
+            scan_conflicts += s;
+        }
+        assert!(conflicts > 0 && scan_conflicts > 0, "noise must reach both conflict paths");
     }
 
     #[test]
     fn empty_order_completes_immediately() {
-        let labeler = ShardLabeler::new(4, vec![]);
+        let labeler = ParallelLabeler::new(4, vec![]);
         assert!(labeler.is_complete());
         assert_eq!(labeler.into_result().num_labeled(), 0);
     }
@@ -633,11 +759,11 @@ mod tests {
         let (cs, truth) = running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
         let mut oracle = GroundTruthOracle::new(&truth);
-        let (live, _) = run_rounds(cs.num_objects(), order.clone(), &mut oracle);
+        let (live, _) = run_parallel_rounds(cs.num_objects(), order.clone(), &mut oracle);
 
         // Replay only the crowdsourced answers, in labeling order, into a
         // fresh labeler: every deduced label must re-derive.
-        let mut replayed = ShardLabeler::new(cs.num_objects(), order.clone());
+        let mut replayed = ParallelLabeler::new(cs.num_objects(), order.clone());
         for sp in &order {
             if live.provenance_of(sp.pair) == Some(Provenance::Crowdsourced) {
                 replayed.seed_known(sp.pair, live.label_of(sp.pair).unwrap());
@@ -658,7 +784,7 @@ mod tests {
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
 
         // Answer only the first published round, then rebuild and finish.
-        let mut first = ShardLabeler::new(cs.num_objects(), order.clone());
+        let mut first = ParallelLabeler::new(cs.num_objects(), order.clone());
         let round1 = first.next_batch();
         for sp in &round1 {
             first.submit_answer(sp.pair, truth.label_of(sp.pair));
@@ -670,7 +796,7 @@ mod tests {
             .collect();
         let unlabeled = first.unlabeled_pairs().len();
 
-        let mut resumed = ShardLabeler::new(cs.num_objects(), order.clone());
+        let mut resumed = ParallelLabeler::new(cs.num_objects(), order.clone());
         for &(pair, label) in &known {
             resumed.seed_known(pair, label);
         }
@@ -692,7 +818,7 @@ mod tests {
     /// For every open pair, the incrementally maintained score must equal a
     /// fresh recomputation from the closure — i.e. the touched-slot marking
     /// in `refresh_scores` missed nothing.
-    fn assert_scores_fresh(labeler: &ShardLabeler) {
+    fn assert_scores_fresh(labeler: &ParallelLabeler) {
         let ranker = labeler.ranker.as_ref().expect("online labeler");
         for i in 0..labeler.order.len() {
             if labeler.state[i] == PairState::Unlabeled {
@@ -710,26 +836,14 @@ mod tests {
     fn online_scores_stay_fresh_and_labels_match() {
         let mut rng = crowdjoin_util::SplitMix64::new(4242);
         for _ in 0..60 {
-            let n = 4 + (rng.next_u64() % 12) as usize;
-            let k = 1 + (rng.next_u64() % 4) as u32;
-            let truth = GroundTruth::new((0..n as u32).map(|i| i % k).collect());
-            let mut pairs = Vec::new();
-            let mut seen = crowdjoin_util::FxHashSet::default();
-            for _ in 0..n * 3 {
-                let a = (rng.next_u64() % n as u64) as u32;
-                let b = (rng.next_u64() % n as u64) as u32;
-                if a != b {
-                    let p = Pair::new(a, b);
-                    if seen.insert(p) {
-                        pairs.push(ScoredPair::new(p, rng.next_f64()));
-                    }
-                }
-            }
-            let cs = CandidateSet::new(n, pairs);
+            let (truth, cs) = random_instance(&mut rng, 3);
             let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
 
-            let mut online =
-                ShardLabeler::with_ordering(cs.num_objects(), order.clone(), OrderingMode::Online);
+            let mut online = ParallelLabeler::with_ordering(
+                cs.num_objects(),
+                order.clone(),
+                OrderingMode::Online,
+            );
             let mut oracle = GroundTruthOracle::new(&truth);
             while !online.is_complete() {
                 let batch = online.next_batch();
@@ -743,7 +857,7 @@ mod tests {
 
             // Order never changes labels — only who pays for them.
             let mut o2 = GroundTruthOracle::new(&truth);
-            let (reference, _) = run_rounds(cs.num_objects(), order, &mut o2);
+            let (reference, _) = run_parallel_rounds(cs.num_objects(), order, &mut o2);
             assert_eq!(online_result.num_labeled(), reference.num_labeled());
             for sp in cs.pairs() {
                 assert_eq!(online_result.label_of(sp.pair), reference.label_of(sp.pair));
@@ -755,8 +869,8 @@ mod tests {
     fn online_round0_equals_likelihood_round0() {
         let (cs, _) = running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
-        let mut a = ShardLabeler::new(cs.num_objects(), order.clone());
-        let mut b = ShardLabeler::with_ordering(cs.num_objects(), order, OrderingMode::Online);
+        let mut a = ParallelLabeler::new(cs.num_objects(), order.clone());
+        let mut b = ParallelLabeler::with_ordering(cs.num_objects(), order, OrderingMode::Online);
         let ba: Vec<Pair> = a.next_batch().iter().map(|sp| sp.pair).collect();
         let bb: Vec<Pair> = b.next_batch().iter().map(|sp| sp.pair).collect();
         assert_eq!(ba, bb, "all-zero frontier must degenerate to the index scan");
@@ -769,7 +883,7 @@ mod tests {
         let (cs, truth) = running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
         let mut live =
-            ShardLabeler::with_ordering(cs.num_objects(), order.clone(), OrderingMode::Exact);
+            ParallelLabeler::with_ordering(cs.num_objects(), order.clone(), OrderingMode::Exact);
         let mut oracle = GroundTruthOracle::new(&truth);
         while !live.is_complete() {
             for sp in live.next_batch() {
@@ -778,7 +892,7 @@ mod tests {
         }
         let live = live.into_result();
         let mut replayed =
-            ShardLabeler::with_ordering(cs.num_objects(), order.clone(), OrderingMode::Exact);
+            ParallelLabeler::with_ordering(cs.num_objects(), order.clone(), OrderingMode::Exact);
         for sp in replayed.order().to_vec() {
             if live.provenance_of(sp.pair) == Some(Provenance::Crowdsourced) {
                 replayed.seed_known(sp.pair, live.label_of(sp.pair).unwrap());
@@ -797,7 +911,7 @@ mod tests {
     fn double_answer_rejected() {
         let (cs, _) = running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
-        let mut labeler = ShardLabeler::new(cs.num_objects(), order);
+        let mut labeler = ParallelLabeler::new(cs.num_objects(), order);
         let batch = labeler.next_batch();
         let p = batch[0].pair;
         labeler.submit_answer(p, Label::Matching);

@@ -12,10 +12,13 @@
 //! * **Sorting** ([`sort`]) — labeling orders: the theoretical optimum
 //!   (matching pairs first, Theorem 1), the practical likelihood-descending
 //!   heuristic, plus random/worst baselines for experiments.
-//! * **Labeling** ([`sequential`], [`parallel`]) — the one-pair-at-a-time
-//!   labeler and the parallel labeler (Algorithms 2/3) that publishes every
-//!   pair provably needing crowdsourcing, supporting the *instant decision*
-//!   and *non-matching first* optimizations through its event-driven API.
+//! * **Labeling** ([`sequential`], [`parallel`], [`labeler`]) — the
+//!   one-pair-at-a-time labeler and the parallel labeler (Algorithms 2/3)
+//!   that publishes every pair provably needing crowdsourcing, supporting
+//!   the *instant decision* and *non-matching first* optimizations through
+//!   its event-driven API. Deduction after each answer is incremental
+//!   ([`closure`]), and the publish order is a pluggable policy
+//!   ([`ordering`]).
 //! * **Baseline** ([`baseline`]) — the non-transitive labeler prior systems
 //!   use (crowdsource everything).
 //! * **Analysis** ([`analysis`], [`expected`]) — closed-form optimal cost and
@@ -58,11 +61,14 @@
 pub mod analysis;
 pub mod baseline;
 pub mod budget;
+pub mod closure;
 pub mod expected;
 pub mod framework;
+pub mod labeler;
 pub mod metrics;
 pub mod one_to_one;
 pub mod oracle;
+pub mod ordering;
 pub mod parallel;
 pub mod resolution;
 pub mod result;
@@ -74,14 +80,20 @@ pub mod types;
 pub use analysis::{optimal_cost, OptimalCost};
 pub use baseline::label_non_transitive;
 pub use budget::{label_with_budget, BudgetedResult};
+pub use closure::IncrementalClosure;
 pub use expected::{
     estimate_expected_cost, is_consistent, World, WorldEnumeration, MAX_ENUMERABLE_PAIRS,
 };
 pub use framework::LabelingTask;
+pub use labeler::ParallelLabeler;
 pub use metrics::QualityMetrics;
 pub use one_to_one::{enforce_one_to_one, OneToOneDeducer, OneToOneOutcome};
 pub use oracle::{FixedOracle, GroundTruthOracle, NoisyOracle, Oracle};
-pub use parallel::{run_parallel_rounds, ParallelLabeler, ParallelRunStats};
+pub use ordering::{
+    exact_expected_order, ExactExpected, LikelihoodDescending, OnlineExpected, OrderingMode,
+    OrderingPolicy,
+};
+pub use parallel::{run_parallel_rounds, ParallelRunStats};
 pub use resolution::{resolve_entities, EntityResolution};
 pub use result::LabelingResult;
 pub use sequential::label_sequential;

@@ -4,7 +4,7 @@
 //! order; its direct sequel ("The Expected Optimal Labeling Order Problem
 //! for Crowdsourced Joins and Entity Resolution", arXiv 1409.7472) shows
 //! that orders maximizing *expected transitive deductions* ask measurably
-//! fewer crowd questions. This module is the engine's seam for that work:
+//! fewer crowd questions. This module is the labeler's seam for that work:
 //!
 //! * [`OrderingMode::Likelihood`] — the default. The labeling order is used
 //!   exactly as handed in (the caller sorts likelihood-descending), and the
@@ -13,7 +13,7 @@
 //! * [`OrderingMode::Exact`] — per connected component with at most
 //!   [`EXACT_ORDER_MAX_PAIRS`] pairs, the expected-optimal *static*
 //!   permutation is computed from the exact world enumeration in
-//!   `crowdjoin_core::expected` (brute force up to
+//!   [`crate::expected`] (brute force up to
 //!   [`BRUTE_FORCE_MAX_PAIRS`] pairs, greedy prefix search beyond);
 //!   oversized components fall back to the incoming likelihood order.
 //! * [`OrderingMode::Online`] — a dynamic O(delta·log) approximation: the
@@ -21,17 +21,18 @@
 //!   *expected deductions* publishing each pair would trigger, computed
 //!   component-locally from the incremental closure's pending index and the
 //!   cluster graph's non-matching adjacency (see
-//!   [`crate::ShardLabeler`]'s frontier ranking for the score definition).
+//!   [`crate::ParallelLabeler`]'s frontier ranking for the score definition).
 //!
 //! The trait below is the policy contract; the [`OrderingMode`] enum is the
 //! serializable selector the engine config, WAL header, and CLI speak.
 
-use crowdjoin_core::{ScoredPair, WorldEnumeration};
+use crate::expected::WorldEnumeration;
+use crate::types::ScoredPair;
 use crowdjoin_graph::UnionFind;
 use crowdjoin_util::FxHashMap;
 
 /// Largest component (in pairs) the exact policy will reorder. Bounded well
-/// below `crowdjoin_core::MAX_ENUMERABLE_PAIRS`: a 12-pair component can
+/// below [`crate::MAX_ENUMERABLE_PAIRS`]: a 12-pair component can
 /// already hold thousands of consistent worlds, and the exact policy runs at
 /// labeler construction on every shard.
 pub const EXACT_ORDER_MAX_PAIRS: usize = 12;
@@ -48,8 +49,8 @@ pub const BRUTE_FORCE_MAX_PAIRS: usize = 6;
 /// The contract every implementation must honor: a policy may change **which
 /// pairs are crowdsourced versus deduced** (and therefore money and rounds),
 /// but never the final labels — deduction is closure over answers, and the
-/// closure is order-independent. The `ordering_equivalence` tests pin this
-/// for all built-in policies.
+/// closure is order-independent. `tests/ordering_policies.rs` pins this for
+/// all built-in policies.
 pub trait OrderingPolicy {
     /// Stable policy name (the CLI flag value and the WAL header spelling).
     fn name(&self) -> &'static str;
@@ -108,9 +109,9 @@ impl OrderingPolicy for OnlineExpected {
     }
 }
 
-/// Serializable selector for the built-in policies — what
-/// [`crate::EngineConfig::order`], the WAL job header, and the CLI `--order`
-/// flag carry.
+/// Serializable selector for the built-in policies — what the engine's
+/// `EngineConfig::order`, the WAL job header, and the CLI `--order` flag
+/// carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrderingMode {
     /// [`LikelihoodDescending`] (the default; bit-identical to pre-policy
@@ -226,7 +227,7 @@ fn component_optimal_permutation(pairs: &[ScoredPair]) -> Option<Vec<usize>> {
         .map(|sp| {
             let a = local_id(sp.pair.a(), &mut local_of);
             let b = local_id(sp.pair.b(), &mut local_of);
-            ScoredPair::new(crowdjoin_core::Pair::new(a, b), sp.likelihood)
+            ScoredPair::new(crate::types::Pair::new(a, b), sp.likelihood)
         })
         .collect();
     let we = WorldEnumeration::new(next as usize, &local).ok()?;
@@ -268,7 +269,7 @@ fn greedy_optimal_permutation(we: &WorldEnumeration) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdjoin_core::Pair;
+    use crate::types::Pair;
 
     fn sp(a: u32, b: u32, l: f64) -> ScoredPair {
         ScoredPair::new(Pair::new(a, b), l)

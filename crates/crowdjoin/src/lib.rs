@@ -14,11 +14,11 @@
 //! | deduction substrate | [`graph`] | union–find, ClusterGraph, path oracle |
 //! | datasets | [`records`] | Paper/Product generators (Cora / Abt-Buy stand-ins) |
 //! | machine matcher | [`matcher`] | tokenizers, similarity, tf-idf join |
-//! | labeling framework | [`core`] | orders, sequential/parallel labelers, expected cost |
+//! | labeling framework | [`core`] | orders, sequential/parallel labelers, incremental closure, expected cost |
 //! | crowd platform | [`sim`] | discrete-event AMT simulator + the pluggable `CrowdBackend` layer |
 //! | external crowd | [`backend_spool`] | spool-directory backend: drive a job with any external answerer |
 //! | answer journal | [`wal`] | crash-safe write-ahead journal for resumable jobs |
-//! | execution engine | [`engine`] | component sharding, incremental closure, worker-pool scheduler |
+//! | execution engine | [`engine`] | component sharding, event-loop platform driver, worker-pool scheduler |
 //! | integration | [`pipeline`], [`runner`] | dataset→task glue, platform-driven runs |
 //!
 //! ## End-to-end example
@@ -93,7 +93,7 @@ pub use crowdjoin_engine::{
 pub use pipeline::{build_task, ground_truth_of, to_candidate_set};
 pub use runner::{
     replay_pairs_sequentially, resume_sharded_on_platform, run_non_transitive_on_platform,
-    run_parallel_on_platform, run_sharded_on_platform, run_sharded_on_platform_threaded,
-    run_sharded_with_oracle, AvailabilitySample, CrowdRunReport,
+    run_parallel_on_platform, run_sharded_on_platform, run_sharded_with_oracle, AvailabilitySample,
+    CrowdRunReport,
 };
 pub use stream::{StreamIngestReport, StreamJob};

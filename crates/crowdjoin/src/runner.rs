@@ -17,9 +17,11 @@
 //!   partitioning the candidate graph into connected-component shards and
 //!   labeling them on a worker pool.
 
-use crowdjoin_core::GroundTruth;
-use crowdjoin_core::{Label, LabelingResult, Pair, ParallelLabeler, Provenance, ScoredPair};
-use crowdjoin_sim::{Platform, PlatformStats, TaskSpec, VirtualTime};
+use crowdjoin_core::{
+    GroundTruth, Label, LabelingResult, OrderingMode, Pair, Provenance, ScoredPair,
+};
+use crowdjoin_engine::{partition_candidates, ShardState, ShardTask};
+use crowdjoin_sim::{CrowdBackend, Platform, PlatformStats, ResolvedTask, TaskSpec, VirtualTime};
 use crowdjoin_util::FxHashMap;
 
 /// One point of the Figure 15 series: platform occupancy as labeling
@@ -66,7 +68,57 @@ fn to_tasks(
         .collect()
 }
 
-/// Runs the parallel labeler against a crowd platform.
+/// The caller's platform, recording the Figure 15 series at the crowd
+/// boundary: one sample per resolution batch, taken before the labeler
+/// sees the batch and can publish again.
+#[derive(Debug)]
+struct SampledPlatform {
+    platform: Platform,
+    series: Vec<AvailabilitySample>,
+}
+
+impl CrowdBackend for SampledPlatform {
+    fn post_hits(&mut self, tasks: Vec<TaskSpec>) {
+        self.platform.post_hits(tasks);
+    }
+
+    fn poll_completions(&mut self, until: VirtualTime) -> Option<(VirtualTime, Vec<ResolvedTask>)> {
+        let (time, resolved) = self.platform.poll_completions(until)?;
+        // Every resolution becomes one crowdsourced pair of the labeler.
+        let crowdsourced = self.series.last().map_or(0, |s| s.crowdsourced) + resolved.len();
+        let open_pairs = self.platform.num_open_pairs();
+        self.series.push(AvailabilitySample { crowdsourced, open_pairs, time });
+        Some((time, resolved))
+    }
+
+    fn next_event_time(&self) -> Option<VirtualTime> {
+        self.platform.next_event_time()
+    }
+
+    fn now(&self) -> VirtualTime {
+        self.platform.now()
+    }
+
+    fn num_unresolved_pairs(&self) -> usize {
+        self.platform.num_unresolved_pairs()
+    }
+
+    fn batch_size(&self) -> usize {
+        self.platform.batch_size()
+    }
+
+    fn stats(&self) -> PlatformStats {
+        self.platform.stats()
+    }
+
+    fn warp_to(&mut self, t: VirtualTime) {
+        self.platform.warp_to(t);
+    }
+}
+
+/// Runs the parallel labeler against a crowd platform: one
+/// [`crowdjoin_engine::ShardTask`] over the whole candidate graph, on the
+/// caller's `platform` (taken by value, since the task owns its backend).
 ///
 /// `instant_decision` controls when the next publishable set is computed:
 /// after *every* HIT resolution (`true`, the Section 5.2 optimization) or
@@ -90,30 +142,33 @@ pub fn run_parallel_on_platform(
     num_objects: usize,
     order: Vec<ScoredPair>,
     truth: &GroundTruth,
-    platform: &mut Platform,
+    platform: Platform,
     instant_decision: bool,
 ) -> CrowdRunReport {
-    let mut labeler = ParallelLabeler::new(num_objects, order);
-    let mut series = Vec::new();
-    // The drive loop (staging, full-HIT batching, instant decision, idle
-    // flush) is the engine's shared implementation, so the single-platform
-    // and sharded arms cannot drift apart.
-    let publish_rounds = crowdjoin_engine::drive_to_completion(
-        &mut labeler,
-        platform,
-        instant_decision,
-        &|pair| truth.is_matching(pair),
-        &mut |crowdsourced, open_pairs, time| {
-            series.push(AvailabilitySample { crowdsourced, open_pairs, time });
-        },
-    );
-
+    let Some(shard) = partition_candidates(num_objects, &order, 1).shards.pop() else {
+        // No pairs, no shard: nothing is published.
+        return CrowdRunReport {
+            result: LabelingResult::new(),
+            stats: platform.stats(),
+            completion: platform.stats().last_resolution,
+            series: Vec::new(),
+            publish_rounds: 0,
+        };
+    };
+    let backend = SampledPlatform { platform, series: Vec::new() };
+    let mut task = ShardTask::new(shard, backend, instant_decision, 0, OrderingMode::Likelihood);
+    let truth_of = |pair: Pair| truth.is_matching(pair);
+    while task.state() != ShardState::Done {
+        task.advance(&truth_of, false);
+    }
+    let series = task.backend().series.clone();
+    let report = task.into_report();
     CrowdRunReport {
-        result: labeler.into_result(),
-        stats: platform.stats(),
-        completion: platform.stats().last_resolution,
+        result: report.result,
+        stats: report.stats.expect("a platform-driven shard reports platform stats"),
+        completion: report.completion,
         series,
-        publish_rounds,
+        publish_rounds: report.publish_rounds,
     }
 }
 
@@ -238,22 +293,6 @@ pub fn resume_sharded_on_platform(
         .resume(journal)
 }
 
-/// The blocking thread-per-shard reference arm of
-/// [`run_sharded_on_platform`]: identical per-shard simulations driven to
-/// completion one worker thread at a time. Kept for equivalence testing and
-/// comparison; prefer the event-loop entry point. Thin facade over
-/// [`crowdjoin_engine::run_on_platform_threaded`].
-#[must_use]
-pub fn run_sharded_on_platform_threaded(
-    num_objects: usize,
-    order: &[ScoredPair],
-    truth: &GroundTruth,
-    platform: &crowdjoin_sim::PlatformConfig,
-    engine: &crowdjoin_engine::EngineConfig,
-) -> crowdjoin_engine::EngineReport {
-    crowdjoin_engine::run_on_platform_threaded(num_objects, order, truth, platform, engine)
-}
-
 /// Runs the sharded execution engine against any thread-safe oracle. Thin
 /// facade over [`crowdjoin_engine::run_with_oracle`].
 #[must_use]
@@ -292,14 +331,29 @@ mod tests {
     fn parallel_on_platform_matches_oracle_run() {
         let (cs, truth) = running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
-        let mut platform = Platform::new(PlatformConfig::perfect_workers(7));
-        let report = run_parallel_on_platform(cs.num_objects(), order, &truth, &mut platform, true);
+        let platform = Platform::new(PlatformConfig::perfect_workers(7));
+        let report = run_parallel_on_platform(cs.num_objects(), order, &truth, platform, true);
         assert_eq!(report.result.num_crowdsourced(), 6);
         assert_eq!(report.result.num_deduced(), 2);
         for sp in cs.pairs() {
             assert_eq!(report.result.label_of(sp.pair), Some(truth.label_of(sp.pair)));
         }
         assert!(report.completion > VirtualTime::ZERO);
+    }
+
+    /// An empty order partitions into no shard; the run must still report
+    /// cleanly and publish nothing.
+    #[test]
+    fn empty_order_publishes_nothing() {
+        let truth = GroundTruth::all_distinct(4);
+        let platform = Platform::new(PlatformConfig::perfect_workers(3));
+        let report = run_parallel_on_platform(4, Vec::new(), &truth, platform, true);
+        assert_eq!(report.result.num_labeled(), 0);
+        assert_eq!(report.stats.hits_published, 0);
+        assert_eq!(report.stats.total_cost_cents, 0);
+        assert_eq!(report.publish_rounds, 0);
+        assert_eq!(report.completion, VirtualTime::ZERO);
+        assert!(report.series.is_empty());
     }
 
     #[test]
@@ -316,8 +370,8 @@ mod tests {
         let (cs, truth) = running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
 
-        let mut p1 = Platform::new(PlatformConfig::perfect_workers(4));
-        let par = run_parallel_on_platform(cs.num_objects(), order.clone(), &truth, &mut p1, true);
+        let p1 = Platform::new(PlatformConfig::perfect_workers(4));
+        let par = run_parallel_on_platform(cs.num_objects(), order.clone(), &truth, p1, true);
 
         // Replay the same crowdsourced pairs one 2-pair HIT at a time.
         let crowdsourced: Vec<ScoredPair> = order
@@ -340,11 +394,10 @@ mod tests {
     fn instant_decision_never_increases_rounds_needed() {
         let (cs, truth) = running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
-        let mut p1 = Platform::new(PlatformConfig::perfect_workers(3));
-        let plain =
-            run_parallel_on_platform(cs.num_objects(), order.clone(), &truth, &mut p1, false);
-        let mut p2 = Platform::new(PlatformConfig::perfect_workers(3));
-        let id = run_parallel_on_platform(cs.num_objects(), order, &truth, &mut p2, true);
+        let p1 = Platform::new(PlatformConfig::perfect_workers(3));
+        let plain = run_parallel_on_platform(cs.num_objects(), order.clone(), &truth, p1, false);
+        let p2 = Platform::new(PlatformConfig::perfect_workers(3));
+        let id = run_parallel_on_platform(cs.num_objects(), order, &truth, p2, true);
         // Same crowdsourcing cost either way (consistent answers).
         assert_eq!(plain.result.num_crowdsourced(), id.result.num_crowdsourced());
     }

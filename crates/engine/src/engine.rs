@@ -1,18 +1,15 @@
 //! Job-level entry points: partition, schedule, run, resume, stitch.
 
-use crate::driver::drive_to_completion;
 use crate::event_loop::JournalRun;
-use crate::labeler::ShardLabeler;
 use crate::oracle::SharedOracle;
-use crate::ordering::OrderingMode;
-use crate::partition::{partition_candidates, Shard};
+use crate::partition::partition_candidates;
 use crate::persist::{job_header, verify_header};
 use crate::report::{EngineReport, ShardReport};
 use crate::scheduler::run_sharded;
-use crowdjoin_core::{GroundTruth, LabelingResult, Pair, Provenance, ScoredPair};
-use crowdjoin_sim::{
-    BackendFactory, Platform, PlatformConfig, SharedClock, SimFactory, VirtualTime,
+use crowdjoin_core::{
+    GroundTruth, LabelingResult, OrderingMode, Pair, ParallelLabeler, Provenance, ScoredPair,
 };
+use crowdjoin_sim::{BackendFactory, PlatformConfig, SimFactory, VirtualTime};
 use crowdjoin_wal::{open_resume, partition_replay, Journal, WalError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -29,27 +26,25 @@ pub struct EngineConfig {
     /// resolution (`true`, the paper's instant-decision optimization) or
     /// only when all outstanding pairs are labeled (`false`).
     pub instant_decision: bool,
-    /// Event-loop runs: dynamically re-shard between publish rounds —
+    /// Platform-driven runs: dynamically re-shard between publish rounds —
     /// retire components that collapsed early and merge the shrinking
     /// working set into fewer, fuller shards (less partial-HIT waste).
-    /// Ignored by the blocking thread-per-shard driver.
     pub reshard: bool,
     /// Master seed for per-shard platform derivation.
     pub seed: u64,
-    /// Platform-driven event-loop runs: append every crowd answer to a
+    /// Platform-driven runs: append every crowd answer to a
     /// crash-safe write-ahead journal at this path (see `crowdjoin-wal`).
     /// A killed job is then resumable with [`Engine::resume`], re-paying
     /// nothing. The path must not already hold a non-empty file — an
     /// existing journal may contain paid-for answers and must be resumed
-    /// or deleted explicitly. Ignored by oracle-driven runs and the
-    /// blocking thread-per-shard driver (both documented on their entry
-    /// points).
+    /// or deleted explicitly. Ignored by oracle-driven runs (documented
+    /// on their entry points).
     pub journal: Option<PathBuf>,
     /// Question-ordering policy every shard labeler publishes under (see
-    /// [`crate::ordering`]). The default, [`OrderingMode::Likelihood`], is
-    /// bit-identical to pre-policy builds; the policy is part of the
-    /// journal fingerprint, so a resume must use the order the job was
-    /// started with.
+    /// [`crowdjoin_core::ordering`]). The default,
+    /// [`OrderingMode::Likelihood`], is bit-identical to pre-policy builds;
+    /// the policy is part of the journal fingerprint, so a resume must use
+    /// the order the job was started with.
     pub order: OrderingMode,
 }
 
@@ -314,7 +309,7 @@ fn assert_journalable<F: BackendFactory>(factory: &F, config: &EngineConfig) {
 /// Each shard drives its own labeler; crowd questions are issued in one
 /// batched `answer_batch` call per publish round. With a consistent oracle
 /// the merged labels equal a single-threaded run's on every pair (pinned by
-/// the `engine_equivalence` tests).
+/// `tests/engine_sharding.rs`).
 ///
 /// `config.journal` is ignored: oracle answers arrive synchronously from
 /// the caller, who owns their durability; the write-ahead journal covers
@@ -335,7 +330,7 @@ pub fn run_with_oracle<O: SharedOracle + ?Sized>(
     let num_components = partition.num_components;
     let reports = run_sharded(partition.shards, config.num_threads, |shard| {
         let mut labeler =
-            ShardLabeler::with_ordering(shard.num_objects(), shard.pairs.clone(), config.order);
+            ParallelLabeler::with_ordering(shard.num_objects(), shard.pairs.clone(), config.order);
         let mut publish_rounds = 0usize;
         while !labeler.is_complete() {
             let batch = labeler.next_batch();
@@ -371,17 +366,16 @@ pub fn run_with_oracle<O: SharedOracle + ?Sized>(
 }
 
 /// Runs the sharded engine against simulated crowd platforms on the
-/// **event loop**: one deterministic [`Platform`] per shard (seed derived
-/// from the engine seed and the shard index), every shard a poll-based
-/// [`crate::ShardTask`] state machine, multiplexed over
+/// **event loop**: one deterministic [`crowdjoin_sim::Platform`] per shard
+/// (seed derived from the engine seed and the shard index), every shard a
+/// poll-based [`crate::ShardTask`] state machine, multiplexed over
 /// [`crate::effective_threads`] workers by earliest pending virtual event.
 /// Thousands of shards run fine on two threads — shard count is bounded by
 /// memory, not the thread limit.
 ///
 /// Shards stage publishable pairs and release them in full HITs of the
-/// platform's batch size ([`crowdjoin_sim::HitStager`] — the same batching
-/// policy object the single-platform runner uses), flushing partial HITs
-/// only when the shard's platform would otherwise idle.
+/// platform's batch size ([`crowdjoin_sim::HitStager`]), flushing partial
+/// HITs only when the shard's platform would otherwise idle.
 ///
 /// The `platform` config's worker pool models the **whole crowd**, so it is
 /// divided evenly across shards (each shard's platform gets
@@ -390,11 +384,11 @@ pub fn run_with_oracle<O: SharedOracle + ?Sized>(
 /// compare runs with (nearly) equal total crowd labor — the speedup shown
 /// is the engine's, not extra hired workers'.
 ///
-/// Per-shard outcomes are bit-identical to the blocking
-/// [`run_on_platform_threaded`] driver whenever `config.reshard` is off
-/// (pinned by `tests/event_loop.rs`). With `config.reshard` on, the loop
-/// additionally merges shards between publish rounds as early answers
-/// collapse components (see [`crate::EngineConfig::reshard`]).
+/// Per-shard outcomes do not depend on the worker count whenever
+/// `config.reshard` is off (pinned by `tests/event_loop.rs`). With
+/// `config.reshard` on, the loop additionally merges shards between publish
+/// rounds as early answers collapse components (see
+/// [`crate::EngineConfig::reshard`]).
 ///
 /// Thin wrapper over [`Engine::run`] for journal-free call sites; see
 /// [`Engine::resume`] for continuing a killed journaled job.
@@ -416,83 +410,6 @@ pub fn run_on_platform(
     Engine::new(num_objects, order, truth, platform, config.clone())
         .run()
         .unwrap_or_else(|e| panic!("journaled engine run failed: {e}"))
-}
-
-/// The blocking thread-per-shard driver: each worker thread drives one
-/// shard's platform to completion before taking the next shard. Kept as the
-/// reference arm the event loop is verified against; prefer
-/// [`run_on_platform`] (same results, bounded threads, optional dynamic
-/// re-sharding).
-///
-/// `config.reshard` and `config.journal` are ignored — a blocked worker
-/// cannot reach a global round barrier, and crash safety belongs to the
-/// default driver.
-///
-/// # Panics
-///
-/// Panics if a pair references an object `>= num_objects`, appears twice in
-/// `order`, or the platform configuration is invalid.
-#[must_use]
-pub fn run_on_platform_threaded(
-    num_objects: usize,
-    order: &[ScoredPair],
-    truth: &GroundTruth,
-    platform: &PlatformConfig,
-    config: &EngineConfig,
-) -> EngineReport {
-    let partition = partition_candidates(num_objects, order, config.effective_shards());
-    let num_components = partition.num_components;
-    let num_shards = partition.shards.len().max(1);
-    let clock = SharedClock::new();
-    let reports = run_sharded(partition.shards, config.num_threads, |shard| {
-        let report = run_shard_on_platform(shard, num_shards, truth, platform, config);
-        clock.advance_to(report.completion);
-        report
-    });
-    let mut report = EngineReport::from_shards(reports, num_components);
-    // The shared clock and the per-shard maxima agree by construction; keep
-    // the clock authoritative so future async backends (shards reporting
-    // progress mid-run) stay correct.
-    report.completion = clock.now();
-    report
-}
-
-/// Drives one shard against its own platform instance (an equal slice of
-/// the configured crowd) via the shared [`drive_to_completion`] loop.
-fn run_shard_on_platform(
-    shard: &Shard,
-    num_shards: usize,
-    truth: &GroundTruth,
-    platform_cfg: &PlatformConfig,
-    config: &EngineConfig,
-) -> ShardReport {
-    let cfg =
-        crate::event_loop::shard_platform_config(platform_cfg, config, 0, shard.index, num_shards);
-    let mut platform = Platform::new(cfg);
-    let mut labeler =
-        ShardLabeler::with_ordering(shard.num_objects(), shard.pairs.clone(), config.order);
-    let publish_rounds = drive_to_completion(
-        &mut labeler,
-        &mut platform,
-        config.instant_decision,
-        &|local| truth.is_matching(shard.to_global(local)),
-        &mut |_, _, _| {},
-    );
-
-    ShardReport {
-        shard: shard.index,
-        num_objects: shard.num_objects(),
-        num_pairs: shard.pairs.len(),
-        num_components: shard.num_components,
-        result: shard.globalize(&labeler.into_result()),
-        stats: Some(platform.stats()),
-        completion: platform.stats().last_resolution,
-        publish_rounds,
-        replayed_answers: 0,
-        replayed_cost_cents: 0,
-        rounds: Vec::new(),
-        peak_unresolved: 0,
-    }
 }
 
 /// Runs the non-transitive baseline (publish everything, accept every

@@ -9,9 +9,8 @@
 //! time and workers always advance the task with the earliest pending
 //! event. Shards are disjoint workloads, so per-shard outcomes are
 //! independent of worker count and interleaving — the loop drives thousands
-//! of shards on two threads to the *same* labels, costs, and completion
-//! times as the thread-per-shard scheduler (pinned by
-//! `tests/event_loop.rs`). Workers never block on a platform: one
+//! of shards to the *same* labels, costs, and completion times on one, two
+//! or four threads (pinned by `tests/event_loop.rs`). Workers never block on a platform: one
 //! [`ShardTask::advance`] call does a bounded amount of simulation and
 //! returns, so shard count is limited by memory, not threads.
 //!
@@ -48,8 +47,7 @@ use crate::partition::{partition_candidates, Partition};
 use crate::report::{EngineReport, ShardReport};
 use crate::scheduler::effective_threads;
 use crate::task::{ShardState, ShardTask};
-use crate::ShardLabeler;
-use crowdjoin_core::{GroundTruth, Label, Pair, ScoredPair};
+use crowdjoin_core::{GroundTruth, Label, Pair, ParallelLabeler, ScoredPair};
 use crowdjoin_sim::{BackendFactory, CrowdBackend, PlatformConfig, ShardContext, VirtualTime};
 use crowdjoin_util::{derive_seed, FxHashMap};
 use crowdjoin_wal as wal;
@@ -62,8 +60,8 @@ use std::sync::{Arc, Condvar, Mutex};
 /// across the generation's `active_shards` platforms (floored at
 /// `assignments_per_hit` so HITs can still resolve).
 ///
-/// Generation 0 reproduces the historical derivation exactly, which is what
-/// keeps the event loop bit-identical to the thread-per-shard path.
+/// In generation 0 the seed depends on the shard index alone (the
+/// generation bits are zero).
 pub(crate) fn shard_platform_config(
     base: &PlatformConfig,
     engine: &EngineConfig,
@@ -539,7 +537,7 @@ fn reshard<F: BackendFactory>(st: &mut LoopState<F::Backend>, ctx: &LoopCtx<'_, 
         };
         let mut platform = ctx.factory.create(&cfg, &shard_ctx);
         platform.warp_to(barrier);
-        let mut labeler = ShardLabeler::with_ordering(
+        let mut labeler = ParallelLabeler::with_ordering(
             shard.num_objects(),
             shard.pairs.clone(),
             ctx.engine_cfg.order,
@@ -582,7 +580,7 @@ fn predict_publishable<F: BackendFactory>(
     known: &FxHashMap<Pair, Label>,
 ) -> usize {
     let mut probe =
-        ShardLabeler::with_ordering(ctx.num_objects, open_pairs.to_vec(), ctx.engine_cfg.order);
+        ParallelLabeler::with_ordering(ctx.num_objects, open_pairs.to_vec(), ctx.engine_cfg.order);
     for sp in open_pairs {
         if let Some(&label) = known.get(&sp.pair) {
             probe.seed_known(sp.pair, label);

@@ -1,7 +1,8 @@
 //! # crowdjoin-engine — sharded, multi-threaded execution engine
 //!
-//! The labelers in `crowdjoin-core` process one candidate graph in one
-//! thread. Their deduction substrate is naturally partitionable, though:
+//! The parallel labeler in `crowdjoin-core` (Algorithm 3 batches,
+//! incremental-closure deduction) processes one candidate graph in one
+//! thread. Its deduction substrate is naturally partitionable, though:
 //! transitive relations (positive and negative alike) propagate only along
 //! candidate edges, so **pairs in different connected components can never
 //! deduce each other**. This crate turns that observation into a
@@ -10,22 +11,18 @@
 //! 1. **Partitioner** ([`partition`]) — extracts connected components with
 //!    the `crowdjoin-graph` union–find and bin-packs them (LPT) into
 //!    balanced shards.
-//! 2. **Scheduler** ([`scheduler`]) — runs shards on a `std::thread` worker
-//!    pool; each shard drives its own labeler against a shared, thread-safe
-//!    oracle front-end ([`oracle::SharedOracle`]) with batched question
-//!    issue, or against its own deterministic crowd-platform instance.
-//! 3. **Event loop** ([`event_loop`]) — the platform-driven path's default
+//! 2. **Scheduler** ([`scheduler`]) — runs oracle-driven shards on a
+//!    `std::thread` worker pool; each shard drives its own labeler against
+//!    a shared, thread-safe oracle front-end ([`oracle::SharedOracle`]) with
+//!    batched question issue.
+//! 3. **Event loop** ([`event_loop`]) — the platform-driven path's only
 //!    driver: every shard is a non-blocking [`task::ShardTask`] state
 //!    machine (`Publishing → AwaitingCrowd → Deducing → Done`) and a
 //!    cooperative scheduler advances the shard with the earliest pending
 //!    virtual event, multiplexing thousands of shards over a bounded worker
 //!    pool — with optional dynamic re-sharding between publish rounds
 //!    ([`EngineConfig::reshard`]).
-//! 4. **Incremental closure** ([`closure`]) — per-shard positive/negative
-//!    transitive closure maintained eagerly as labels stream in (semi-naive
-//!    delta propagation on `ClusterGraph` structural events), so cross-round
-//!    deduction never recomputes from scratch.
-//! 5. **Merged report** ([`report`]) — per-shard `LabelingResult`s stitched
+//! 4. **Merged report** ([`report`]) — per-shard `LabelingResult`s stitched
 //!    into a global result with platform stats summed and completion time
 //!    taken as the virtual-time critical path (max over shards).
 //!
@@ -54,13 +51,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod closure;
-pub mod driver;
 mod engine;
 pub mod event_loop;
-pub mod labeler;
 pub mod oracle;
-pub mod ordering;
 pub mod partition;
 mod persist;
 pub mod report;
@@ -79,18 +72,13 @@ pub use crowdjoin_sim::{
     BackendFactory, CrowdBackend, ShardContext, SimFactory, TimeSource, VirtualClock, WallClock,
 };
 
-pub use closure::IncrementalClosure;
-pub use driver::{drive_to_completion, PlatformDriveable};
+/// The question-ordering policy every shard labeler publishes under
+/// (re-export from `crowdjoin-core`; [`EngineConfig::order`] carries it).
+pub use crowdjoin_core::OrderingMode;
 pub use engine::{
-    run_non_transitive_with_oracle, run_on_platform, run_on_platform_threaded, run_with_oracle,
-    Engine, EngineConfig,
+    run_non_transitive_with_oracle, run_on_platform, run_with_oracle, Engine, EngineConfig,
 };
-pub use labeler::ShardLabeler;
 pub use oracle::{SharedGroundTruth, SharedOracle, SyncOracle};
-pub use ordering::{
-    exact_expected_order, ExactExpected, LikelihoodDescending, OnlineExpected, OrderingMode,
-    OrderingPolicy,
-};
 pub use partition::{partition_candidates, Partition, Shard};
 pub use report::{EngineReport, RoundMetric, ShardMetrics, ShardReport};
 pub use scheduler::{effective_threads, run_sharded};

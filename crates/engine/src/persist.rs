@@ -180,10 +180,8 @@ mod tests {
         let h5 = job_header(3, &order, &truth, &platform, &other_cfg, 2);
         assert!(verify_header(&h, &h5).is_err(), "engine seed change detected");
 
-        let other_order = EngineConfig {
-            order: crate::ordering::OrderingMode::Online,
-            ..EngineConfig::default()
-        };
+        let other_order =
+            EngineConfig { order: crowdjoin_core::OrderingMode::Online, ..EngineConfig::default() };
         let h6 = job_header(3, &order, &truth, &platform, &other_order, 2);
         let err = verify_header(&h, &h6).expect_err("ordering change detected");
         assert!(

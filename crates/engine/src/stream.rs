@@ -12,7 +12,7 @@
 //! * [`StreamEngine::step_with_oracle`] eagerly labels everything
 //!   admitted so far: the current pair set is sorted with the batch
 //!   engine's strategy, partitioned into shards, and each shard replays
-//!   the already-paid-for answers through [`ShardLabeler::seed_known`]
+//!   the already-paid-for answers through [`ParallelLabeler::seed_known`]
 //!   before asking the oracle only the questions no previous step bought.
 //!   **No question is ever paid for twice across steps** — the same
 //!   economy journal resume is built on, applied between ingests.
@@ -32,11 +32,10 @@
 //! the *eager* regime where provisional labels are wanted mid-stream.
 
 use crate::engine::EngineConfig;
-use crate::labeler::ShardLabeler;
 use crate::oracle::SharedOracle;
 use crate::partition::partition_candidates;
 use crate::scheduler::run_sharded;
-use crowdjoin_core::{Label, LabelingResult, Pair, ScoredPair};
+use crowdjoin_core::{Label, LabelingResult, Pair, ParallelLabeler, ScoredPair};
 use crowdjoin_graph::UnionFind;
 use crowdjoin_util::{FxHashMap, FxHashSet};
 
@@ -210,7 +209,7 @@ impl StreamEngine {
         let ordering = self.config.order;
         let shard_outcomes = run_sharded(partition.shards, self.config.num_threads, |shard| {
             let mut labeler =
-                ShardLabeler::with_ordering(shard.num_objects(), shard.pairs.clone(), ordering);
+                ParallelLabeler::with_ordering(shard.num_objects(), shard.pairs.clone(), ordering);
             let mut seeded = 0usize;
             for sp in &shard.pairs {
                 if let Some(&label) = known.get(&shard.to_global(sp.pair)) {

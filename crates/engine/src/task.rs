@@ -1,10 +1,10 @@
 //! The per-shard non-blocking state machine driven by the event loop.
 //!
-//! [`ShardTask`] is the poll-based reformulation of the blocking
-//! [`crate::driver::drive_to_completion`] loop: instead of monopolizing a
-//! worker thread while its platform simulates, a task exposes *when* it next
-//! needs attention ([`ShardTask::next_wake`]) and does a bounded amount of
-//! work per [`ShardTask::advance`] call. The event loop can therefore
+//! [`ShardTask`] drives one shard's labeler against its crowd backend
+//! without blocking: instead of monopolizing a worker thread while its
+//! platform simulates, a task exposes *when* it next needs attention
+//! ([`ShardTask::next_wake`]) and does a bounded amount of work per
+//! [`ShardTask::advance`] call. The event loop can therefore
 //! multiplex thousands of shards over a handful of workers, always advancing
 //! the shard with the earliest pending virtual event.
 //!
@@ -21,13 +21,13 @@
 //!                                       (re-sharding barrier)
 //! ```
 //!
-//! Transition policy is byte-for-byte the blocking driver's: the first
-//! round flushes unconditionally, *instant decision* recomputes the
-//! publishable set after every HIT resolution, partial HITs flush only when
-//! the platform would otherwise idle, and an idle platform with an
-//! incomplete labeler must always yield a non-empty batch. With parking
-//! disabled the event loop's per-shard outcome is bit-identical to the
-//! thread-per-shard scheduler's (pinned by `tests/event_loop.rs`).
+//! Transition policy: the first round flushes unconditionally, *instant
+//! decision* recomputes the publishable set after every HIT resolution,
+//! partial HITs flush only when the platform would otherwise idle, and an
+//! idle platform with an incomplete labeler must always yield a non-empty
+//! batch. With parking disabled a shard's outcome does not depend on how
+//! the event loop interleaves it with other shards (pinned by
+//! `tests/event_loop.rs`).
 //!
 //! ## Journaling points (crash safety)
 //!
@@ -68,12 +68,12 @@
 //! (which two records?) without any side channel. Backends must treat ids
 //! as opaque; the simulator does.
 
-use crate::labeler::ShardLabeler;
-use crate::ordering::OrderingMode;
 use crate::partition::Shard;
 use crate::persist::snapshot_of;
 use crate::report::{RoundMetric, ShardReport};
-use crowdjoin_core::{Label, LabelingResult, Pair, Provenance, ScoredPair};
+use crowdjoin_core::{
+    Label, LabelingResult, OrderingMode, Pair, ParallelLabeler, Provenance, ScoredPair,
+};
 use crowdjoin_graph::UnionFind;
 use crowdjoin_sim::{CrowdBackend, HitStager, ResolvedTask, TaskSpec, VirtualTime};
 use crowdjoin_util::{FxHashMap, FxHashSet};
@@ -135,7 +135,7 @@ pub(crate) struct RetiredShard {
 #[derive(Debug)]
 pub struct ShardTask<B: CrowdBackend> {
     shard: Shard,
-    labeler: ShardLabeler,
+    labeler: ParallelLabeler,
     platform: B,
     stager: HitStager,
     ids: FxHashMap<u64, Pair>,
@@ -202,7 +202,7 @@ impl<B: CrowdBackend> ShardTask<B> {
         ordering: OrderingMode,
     ) -> Self {
         let labeler =
-            ShardLabeler::with_ordering(shard.num_objects(), shard.pairs.clone(), ordering);
+            ParallelLabeler::with_ordering(shard.num_objects(), shard.pairs.clone(), ordering);
         Self::resume(shard, labeler, platform, instant_decision, report_index, 0)
     }
 
@@ -212,7 +212,7 @@ impl<B: CrowdBackend> ShardTask<B> {
     #[must_use]
     pub fn resume(
         shard: Shard,
-        labeler: ShardLabeler,
+        labeler: ParallelLabeler,
         platform: B,
         instant_decision: bool,
         report_index: usize,
@@ -341,6 +341,12 @@ impl<B: CrowdBackend> ShardTask<B> {
         }
     }
 
+    /// The crowd backend this task publishes to.
+    #[must_use]
+    pub fn backend(&self) -> &B {
+        &self.platform
+    }
+
     /// The task platform's current virtual time (the re-sharding barrier
     /// maximizes this over parked tasks).
     #[must_use]
@@ -413,8 +419,8 @@ impl<B: CrowdBackend> ShardTask<B> {
     /// `Done`, `Parked` (re-sharding requested and the platform idled at a
     /// round boundary), or `AwaitingCrowd` with a fresh [`Self::next_wake`].
     ///
-    /// `truth_of` supplies ground-truth answers in **global** ids, exactly
-    /// like the blocking driver's closure.
+    /// `truth_of` supplies the simulator's ground-truth answers in
+    /// **global** ids.
     ///
     /// # Panics
     ///
@@ -738,7 +744,6 @@ impl<B: CrowdBackend> ShardTask<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::drive_to_completion;
     use crowdjoin_core::{sort_pairs, CandidateSet, GroundTruth, SortStrategy};
     use crowdjoin_sim::{Platform, PlatformConfig};
 
@@ -757,33 +762,24 @@ mod tests {
         (CandidateSet::new(6, pairs), truth)
     }
 
-    fn whole_universe_shard(cs: &CandidateSet) -> Shard {
-        crate::partition::partition_candidates(cs.num_objects(), cs.pairs(), 1).shards.remove(0)
-    }
-
-    /// Driving a ShardTask to completion through `advance` must reproduce
-    /// the blocking driver bit for bit: same labels, provenance, rounds,
-    /// platform stats, and completion time.
+    /// Driving a ShardTask to completion through `advance` labels exactly
+    /// as the round-based run of the same labeler does, with or without
+    /// instant decision, and its report accounts for every published pair.
     #[test]
-    fn task_matches_blocking_driver_exactly() {
+    fn task_matches_round_based_labels() {
         let (cs, truth) = running_example();
         let order = sort_pairs(&cs, SortStrategy::ExpectedLikelihood);
+        let (rounds, _) = crowdjoin_core::run_parallel_rounds(
+            cs.num_objects(),
+            order.clone(),
+            &mut crowdjoin_core::GroundTruthOracle::new(&truth),
+        );
         for instant in [true, false] {
-            let cfg = PlatformConfig::perfect_workers(17);
-
-            let mut platform = Platform::new(cfg.clone());
-            let mut labeler = ShardLabeler::new(cs.num_objects(), order.clone());
-            let rounds = drive_to_completion(
-                &mut labeler,
-                &mut platform,
-                instant,
-                &|pair| truth.is_matching(pair),
-                &mut |_, _, _| {},
-            );
-
-            let shard = whole_universe_shard(&cs);
-            let mut task =
-                ShardTask::new(shard, Platform::new(cfg), instant, 0, OrderingMode::Likelihood);
+            let shard = crate::partition::partition_candidates(cs.num_objects(), &order, 1)
+                .shards
+                .remove(0);
+            let platform = Platform::new(PlatformConfig::perfect_workers(17));
+            let mut task = ShardTask::new(shard, platform, instant, 0, OrderingMode::Likelihood);
             let truth_of = |pair: Pair| truth.is_matching(pair);
             while task.state() != ShardState::Done {
                 assert!(task.next_wake().is_some(), "active task must have a wake time");
@@ -791,15 +787,13 @@ mod tests {
             }
             let report = task.into_report();
 
-            assert_eq!(report.publish_rounds, rounds, "instant={instant}");
-            assert_eq!(report.stats, Some(platform.stats()), "instant={instant}");
-            assert_eq!(report.completion, platform.stats().last_resolution);
-            let blocking = labeler.into_result();
-            assert_eq!(report.result.num_crowdsourced(), blocking.num_crowdsourced());
-            assert_eq!(report.result.num_deduced(), blocking.num_deduced());
+            let stats = report.stats.expect("platform stats");
+            assert_eq!(report.completion, stats.last_resolution, "instant={instant}");
+            assert_eq!(stats.pairs_published, report.result.num_crowdsourced());
+            assert!(stats.hits_published >= report.publish_rounds && report.publish_rounds > 0);
             for sp in cs.pairs() {
-                assert_eq!(report.result.label_of(sp.pair), blocking.label_of(sp.pair));
-                assert_eq!(report.result.provenance_of(sp.pair), blocking.provenance_of(sp.pair));
+                assert_eq!(report.result.label_of(sp.pair), Some(truth.label_of(sp.pair)));
+                assert_eq!(report.result.provenance_of(sp.pair), rounds.provenance_of(sp.pair));
             }
         }
     }
@@ -859,7 +853,7 @@ mod tests {
         let resumed_shard =
             crate::partition::partition_candidates(5, &retired.open_pairs, 1).shards.remove(0);
         let mut labeler =
-            ShardLabeler::new(resumed_shard.num_objects(), resumed_shard.pairs.clone());
+            ParallelLabeler::new(resumed_shard.num_objects(), resumed_shard.pairs.clone());
         let known_of: FxHashMap<Pair, Label> = retired.known.iter().copied().collect();
         for sp in &resumed_shard.pairs {
             if let Some(&label) = known_of.get(&resumed_shard.to_global(sp.pair)) {

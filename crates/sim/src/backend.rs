@@ -102,9 +102,8 @@ pub trait CrowdBackend: Send + std::fmt::Debug {
 }
 
 /// [`Platform`] is the reference backend: the discrete-event simulator on
-/// virtual time. Every method is a delegation to the inherent API the
-/// blocking drivers already use, so routing through the trait cannot change
-/// behavior.
+/// virtual time. Every method is a delegation to the inherent API, so
+/// routing through the trait cannot change behavior.
 impl CrowdBackend for Platform {
     fn post_hits(&mut self, tasks: Vec<TaskSpec>) {
         Platform::post_hits(self, tasks);

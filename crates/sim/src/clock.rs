@@ -1,15 +1,14 @@
 //! A shared virtual clock for multi-platform runs.
 //!
 //! The execution engine (`crowdjoin-engine`) runs one [`crate::Platform`]
-//! per shard — on a worker thread in the blocking scheduler, or as a
-//! poll-based state machine in the event loop (which schedules shards by
-//! their [`crate::Platform::next_event_time`]). Each platform advances its
+//! per shard as a poll-based state machine in the event loop (which
+//! schedules shards by their [`crate::Platform::next_event_time`]). Each
+//! platform advances its
 //! own virtual time independently (shards are disjoint workloads, so their
 //! event streams never interact). The *job's* completion time is the
 //! critical path — the maximum virtual completion time over shards — and
-//! [`SharedClock`] is the lock-free accumulator concurrent drivers (the
-//! worker-pool scheduler, future async backends reporting progress
-//! mid-run) publish into as shards finish.
+//! [`SharedClock`] is a lock-free accumulator concurrent drivers can
+//! publish into as shards finish.
 
 use crate::time::VirtualTime;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -53,9 +53,8 @@ fn main() {
     let q1 = QualityMetrics::of_result(&baseline.result, &truth);
 
     // Arm 2: transitive parallel labeling with instant decision.
-    let mut p2 = Platform::new(PlatformConfig::amt_like(5));
-    let transitive =
-        run_parallel_on_platform(candidates.num_objects(), order, &truth, &mut p2, true);
+    let p2 = Platform::new(PlatformConfig::amt_like(5));
+    let transitive = run_parallel_on_platform(candidates.num_objects(), order, &truth, p2, true);
     let q2 = QualityMetrics::of_result(&transitive.result, &truth);
 
     println!("                 |    HITs |    cost | completion | quality");

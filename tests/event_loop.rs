@@ -1,7 +1,7 @@
 //! Event-loop engine tests: the non-blocking `ShardTask` event loop must
-//! drive ≥1000 shards on 2 worker threads to outcomes **bit-identical** to
-//! the blocking thread-per-shard scheduler (labels, crowdsourced counts,
-//! money, per-shard stats, completion time), on synthetic and generated
+//! drive ≥1000 shards on 2 worker threads to per-shard outcomes that are
+//! **bit-identical** at any worker count (labels, provenance, money,
+//! platform stats, completion time, rounds), on synthetic and generated
 //! workloads; and dynamic re-sharding must stay label-correct while
 //! merging shards as components collapse.
 
@@ -11,8 +11,8 @@ use crowdjoin::records::{
 };
 use crowdjoin::sim::PlatformConfig;
 use crowdjoin::{
-    build_task, run_sharded_on_platform, run_sharded_on_platform_threaded, sort_pairs,
-    CandidateSet, EngineConfig, GroundTruth, Pair, ScoredPair, SortStrategy,
+    build_task, run_sharded_on_platform, sort_pairs, CandidateSet, EngineConfig, EngineReport,
+    GroundTruth, Pair, ScoredPair, SortStrategy,
 };
 
 /// 1200 disjoint triangle components (3600 objects). Even components are a
@@ -66,70 +66,75 @@ fn product_workload() -> (CandidateSet, GroundTruth, Vec<ScoredPair>) {
     (candidates, truth, order)
 }
 
-/// Both drivers over identical inputs must agree *exactly*: merged result,
-/// money, completion, and every per-shard report.
-fn assert_drivers_identical(
+/// The event loop at 1, 2 and 4 worker threads over identical inputs:
+/// every per-shard report must be bit-identical across thread counts, the
+/// job's money must be the sum of its shards' platform bills, and with a
+/// perfect crowd every label must equal ground truth. Returns the 2-thread
+/// report.
+fn assert_thread_count_invariant(
     num_objects: usize,
     order: &[ScoredPair],
     truth: &GroundTruth,
     platform: &PlatformConfig,
     engine: &EngineConfig,
-) {
-    let ev = run_sharded_on_platform(num_objects, order, truth, platform, engine);
-    let th = run_sharded_on_platform_threaded(num_objects, order, truth, platform, engine);
-    assert_eq!(ev.num_shards(), th.num_shards());
-    assert_eq!(ev.result.num_labeled(), th.result.num_labeled());
-    assert_eq!(ev.result.num_crowdsourced(), th.result.num_crowdsourced());
-    assert_eq!(ev.result.num_deduced(), th.result.num_deduced());
-    assert_eq!(ev.result.num_conflicts(), th.result.num_conflicts());
-    assert_eq!(ev.total_cost_cents, th.total_cost_cents);
-    assert_eq!(ev.completion, th.completion);
-    assert_eq!(ev.reshard_generations, 0);
-    for sp in order {
-        assert_eq!(
-            ev.result.label_of(sp.pair),
-            th.result.label_of(sp.pair),
-            "label diverged on {}",
-            sp.pair
-        );
-        assert_eq!(ev.result.provenance_of(sp.pair), th.result.provenance_of(sp.pair));
+    perfect_crowd: bool,
+) -> EngineReport {
+    let run = |num_threads: usize| {
+        let engine = EngineConfig { num_threads, ..engine.clone() };
+        run_sharded_on_platform(num_objects, order, truth, platform, &engine)
+    };
+    let reference = run(2);
+    assert_eq!(reference.reshard_generations, 0);
+    assert_eq!(reference.result.num_labeled(), order.len());
+    let billed: u64 =
+        reference.shards.iter().map(|s| s.stats.expect("platform stats").total_cost_cents).sum();
+    assert_eq!(reference.total_cost_cents, billed, "job cost must be the sum of shard bills");
+    if perfect_crowd {
+        for sp in order {
+            assert_eq!(reference.result.label_of(sp.pair), Some(truth.label_of(sp.pair)));
+        }
     }
-    for (a, b) in ev.shards.iter().zip(&th.shards) {
-        assert_eq!(a.shard, b.shard);
-        assert_eq!(a.stats, b.stats, "shard {} platform stats diverged", a.shard);
-        assert_eq!(a.completion, b.completion);
-        assert_eq!(a.publish_rounds, b.publish_rounds);
+    for num_threads in [1usize, 4] {
+        let other = run(num_threads);
+        assert_eq!(other.num_shards(), reference.num_shards(), "{num_threads} threads");
+        assert_eq!(other.completion, reference.completion, "{num_threads} threads");
+        for (a, b) in other.shards.iter().zip(&reference.shards) {
+            let at = format!("shard {} at {num_threads} threads", a.shard);
+            assert_eq!(a.shard, b.shard, "{at}");
+            assert_eq!(a.stats, b.stats, "{at}: platform stats diverged");
+            assert_eq!(a.completion, b.completion, "{at}");
+            assert_eq!(a.publish_rounds, b.publish_rounds, "{at}");
+            assert_eq!(a.rounds, b.rounds, "{at}");
+            assert_eq!(a.result.num_conflicts(), b.result.num_conflicts(), "{at}");
+            assert_eq!(a.result.labeled_pairs(), b.result.labeled_pairs(), "{at}: labels diverged");
+        }
     }
+    reference
 }
 
-/// The acceptance bar: ≥1000 shards multiplexed over 2 worker threads, with
-/// labels, crowdsourced counts, and total cost identical to the
-/// thread-per-shard path — and correct against ground truth.
+/// The acceptance bar: ≥1000 shards multiplexed over 2 worker threads,
+/// bit-identical per shard to 1 and 4 threads, and correct against ground
+/// truth.
 #[test]
-fn thousand_shards_on_two_threads_match_thread_per_shard() {
+fn thousand_shards_on_two_threads_match_any_thread_count() {
     let (num_objects, order, truth) = thousand_component_workload();
     let engine =
         EngineConfig { num_shards: 1200, num_threads: 2, seed: 5, ..EngineConfig::default() };
     let platform = PlatformConfig::perfect_workers(13);
 
-    let report = run_sharded_on_platform(num_objects, &order, &truth, &platform, &engine);
+    let report =
+        assert_thread_count_invariant(num_objects, &order, &truth, &platform, &engine, true);
     assert_eq!(report.num_shards(), 1200, "every component must become a shard");
-    assert_eq!(report.result.num_labeled(), order.len());
-    for sp in &order {
-        assert_eq!(report.result.label_of(sp.pair), Some(truth.label_of(sp.pair)));
-    }
     // Odd (all-distinct) components need a second round for their held-back
     // third pair, so the loop genuinely interleaves rounds across shards.
     assert!(report.critical_path_rounds() >= 2);
-
-    assert_drivers_identical(num_objects, &order, &truth, &platform, &engine);
 }
 
-/// Generated Paper and Product workloads, perfect and noisy crowds: the two
-/// drivers must agree bit for bit (noisy answers included — identical
-/// per-shard platform seeds mean identical worker behavior).
+/// Generated Paper and Product workloads, perfect and noisy crowds: the
+/// event loop must be bit-identical at every thread count (noisy answers
+/// included — per-shard platform seeds fix worker behavior).
 #[test]
-fn event_loop_matches_thread_per_shard_on_generated_workloads() {
+fn event_loop_is_thread_count_invariant_on_generated_workloads() {
     let paper = paper_workload();
     let product = product_workload();
     for (candidates, truth, order) in [&paper, &product] {
@@ -140,21 +145,23 @@ fn event_loop_matches_thread_per_shard_on_generated_workloads() {
                 seed: 7,
                 ..EngineConfig::default()
             };
-            assert_drivers_identical(
+            assert_thread_count_invariant(
                 candidates.num_objects(),
                 order,
                 truth,
                 &PlatformConfig::perfect_workers(11),
                 &engine,
+                true,
             );
             // Noisy arm: a bigger crowd so an 8-way split still leaves every
             // shard enough qualification-passing workers to resolve HITs.
-            assert_drivers_identical(
+            assert_thread_count_invariant(
                 candidates.num_objects(),
                 order,
                 truth,
                 &PlatformConfig { num_workers: 160, ..PlatformConfig::amt_like(23) },
                 &engine,
+                false,
             );
         }
     }

@@ -13,11 +13,11 @@
 //! - Savings guard (run by CI): `online` never crowdsources more than
 //!   `likelihood` on the seed workload under a perfect crowd.
 
-use crowdjoin::engine::ShardLabeler;
 use crowdjoin::matcher::MatcherConfig;
 use crowdjoin::records::{generate_paper, ClusterSpec, PaperGenConfig, PerturbConfig};
 use crowdjoin::sim::PlatformConfig;
 use crowdjoin::util::SplitMix64;
+use crowdjoin::ParallelLabeler;
 use crowdjoin::{
     build_task, run_sharded_on_platform, run_sharded_with_oracle, sort_pairs, EngineConfig,
     EngineReport, GroundTruth, Label, OrderingMode, Pair, ScoredPair, SharedGroundTruth,
@@ -183,7 +183,7 @@ fn cost_in_world(
             .expect("published pair must be in the instance");
         world_labels[idx]
     };
-    let mut labeler = ShardLabeler::with_ordering(num_objects, order.to_vec(), mode);
+    let mut labeler = ParallelLabeler::with_ordering(num_objects, order.to_vec(), mode);
     let mut asked = 0usize;
     while !labeler.is_complete() {
         let batch = labeler.next_batch();

@@ -25,21 +25,16 @@ fn workload() -> (crowdjoin::LabelingTask, crowdjoin::GroundTruth) {
 fn perfect_platform_run_is_exact() {
     let (task, truth) = workload();
     let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
-    let mut platform = Platform::new(PlatformConfig::perfect_workers(1));
-    let report = run_parallel_on_platform(
-        task.candidates().num_objects(),
-        order,
-        &truth,
-        &mut platform,
-        true,
-    );
+    let platform = Platform::new(PlatformConfig::perfect_workers(1));
+    let batch = platform.batch_size();
+    let report =
+        run_parallel_on_platform(task.candidates().num_objects(), order, &truth, platform, true);
     assert_eq!(report.result.num_labeled(), task.candidates().len());
     assert_eq!(report.result.num_conflicts(), 0);
     let q = QualityMetrics::of_result(&report.result, &truth);
     assert_eq!(q.f_measure(), 1.0);
     // Cost accounting: every crowdsourced pair sits in exactly one HIT slot;
     // HITs are at most batch-size pairs.
-    let batch = platform.batch_size();
     let min_hits = report.result.num_crowdsourced().div_ceil(batch);
     assert!(report.stats.hits_published >= min_hits);
     assert_eq!(
@@ -54,9 +49,9 @@ fn transitive_is_cheaper_than_non_transitive_on_platform() {
     let (task, truth) = workload();
     let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
 
-    let mut p1 = Platform::new(PlatformConfig::perfect_workers(2));
+    let p1 = Platform::new(PlatformConfig::perfect_workers(2));
     let transitive =
-        run_parallel_on_platform(task.candidates().num_objects(), order, &truth, &mut p1, true);
+        run_parallel_on_platform(task.candidates().num_objects(), order, &truth, p1, true);
     let mut p2 = Platform::new(PlatformConfig::perfect_workers(2));
     let baseline = run_non_transitive_on_platform(task.candidates().pairs(), &truth, &mut p2);
 
@@ -73,14 +68,9 @@ fn transitive_is_cheaper_than_non_transitive_on_platform() {
 fn sequential_replay_slower_parallel_same_cost() {
     let (task, truth) = workload();
     let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
-    let mut p1 = Platform::new(PlatformConfig::perfect_workers(3));
-    let par = run_parallel_on_platform(
-        task.candidates().num_objects(),
-        order.clone(),
-        &truth,
-        &mut p1,
-        true,
-    );
+    let p1 = Platform::new(PlatformConfig::perfect_workers(3));
+    let par =
+        run_parallel_on_platform(task.candidates().num_objects(), order.clone(), &truth, p1, true);
     let crowdsourced: Vec<ScoredPair> = order
         .iter()
         .copied()
@@ -102,14 +92,9 @@ fn sequential_replay_slower_parallel_same_cost() {
 fn noisy_platform_quality_degrades_gracefully() {
     let (task, truth) = workload();
     let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
-    let mut platform = Platform::new(PlatformConfig::amt_like(4));
-    let report = run_parallel_on_platform(
-        task.candidates().num_objects(),
-        order,
-        &truth,
-        &mut platform,
-        true,
-    );
+    let platform = Platform::new(PlatformConfig::amt_like(4));
+    let report =
+        run_parallel_on_platform(task.candidates().num_objects(), order, &truth, platform, true);
     assert_eq!(report.result.num_labeled(), task.candidates().len());
     let q = QualityMetrics::of_result(&report.result, &truth);
     assert!(q.f_measure() > 0.6, "F collapsed to {:.3}", q.f_measure());
@@ -120,17 +105,11 @@ fn noisy_platform_quality_degrades_gracefully() {
 fn instant_decision_and_plain_parallel_same_final_labels() {
     let (task, truth) = workload();
     let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
-    let mut p1 = Platform::new(PlatformConfig::perfect_workers(6));
-    let plain = run_parallel_on_platform(
-        task.candidates().num_objects(),
-        order.clone(),
-        &truth,
-        &mut p1,
-        false,
-    );
-    let mut p2 = Platform::new(PlatformConfig::perfect_workers(6));
-    let id =
-        run_parallel_on_platform(task.candidates().num_objects(), order, &truth, &mut p2, true);
+    let p1 = Platform::new(PlatformConfig::perfect_workers(6));
+    let plain =
+        run_parallel_on_platform(task.candidates().num_objects(), order.clone(), &truth, p1, false);
+    let p2 = Platform::new(PlatformConfig::perfect_workers(6));
+    let id = run_parallel_on_platform(task.candidates().num_objects(), order, &truth, p2, true);
     for sp in task.candidates().pairs() {
         assert_eq!(plain.result.label_of(sp.pair), id.result.label_of(sp.pair));
     }
@@ -141,12 +120,12 @@ fn deterministic_reports_per_seed() {
     let (task, truth) = workload();
     let order = sort_pairs(task.candidates(), SortStrategy::ExpectedLikelihood);
     let run = |seed: u64| {
-        let mut p = Platform::new(PlatformConfig::amt_like(seed));
+        let p = Platform::new(PlatformConfig::amt_like(seed));
         let r = run_parallel_on_platform(
             task.candidates().num_objects(),
             order.clone(),
             &truth,
-            &mut p,
+            p,
             true,
         );
         (r.result.num_crowdsourced(), r.completion, r.stats.hits_published)
